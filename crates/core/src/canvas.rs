@@ -47,37 +47,26 @@ impl Canvas {
     }
 
     /// Render `content` through this canvas, using `viewers` for the
-    /// canvas's own pan/zoom state (looked up under `name`).
+    /// canvas's own pan/zoom state (looked up under `name`).  Every view
+    /// drawn — the canvas, each magnifier, each group member — is traced
+    /// through `rec`.
     pub fn render(
         &mut self,
         name: &str,
-        content: &Displayable,
-        viewers: &mut ViewerSet,
-    ) -> Result<CanvasFrame, CoreError> {
-        self.render_recorded(name, content, viewers, tioga2_obs::noop_ref())
-    }
-
-    /// [`Canvas::render`] with compose/draw passes traced through `rec`.
-    pub fn render_recorded(
-        &mut self,
-        name: &str,
-        content: &Displayable,
+        content: Displayable,
         viewers: &mut ViewerSet,
         rec: &dyn Recorder,
     ) -> Result<CanvasFrame, CoreError> {
         match content {
             Displayable::G(g) => {
-                let rebuild = match &self.group {
-                    Some(gw) => gw.group.members.len() != g.members.len(),
-                    None => true,
+                let gw = match &mut self.group {
+                    Some(gw) if gw.group.members.len() == g.members.len() => {
+                        gw.group = g;
+                        gw
+                    }
+                    slot => slot.insert(GroupWindow::new(g, self.size.0, self.size.1)?),
                 };
-                if rebuild {
-                    self.group = Some(GroupWindow::new(g.clone(), self.size.0, self.size.1)?);
-                } else if let Some(gw) = &mut self.group {
-                    gw.group = g.clone();
-                }
-                let gw = self.group.as_mut().expect("group window exists");
-                let (fb, member_hits) = gw.render()?;
+                let (fb, member_hits) = gw.render(rec)?;
                 Ok(CanvasFrame {
                     fb,
                     hits: HitIndex::default(),
@@ -87,7 +76,7 @@ impl Canvas {
             }
             other => {
                 self.group = None;
-                let composite = other.clone().into_composite()?;
+                let composite = other.into_composite()?;
                 if viewers.get(name).is_err() {
                     viewers.insert(Viewer::new(name, self.size.0, self.size.1));
                 }
@@ -95,10 +84,10 @@ impl Canvas {
                     viewers.get_mut(name)?.fit(&composite)?;
                     self.fitted = true;
                 }
-                let viewer = viewers.get(name)?.clone();
-                let (mut fb, hits, scene) = viewer.render_recorded(&composite, rec)?;
+                let viewer = viewers.get(name)?;
+                let (mut fb, hits, scene) = viewer.render(&composite, rec)?;
                 for m in &self.magnifiers {
-                    m.render_into(&viewer, &composite, &mut fb)?;
+                    m.render_into(viewer, &composite, &mut fb, rec)?;
                 }
                 Ok(CanvasFrame { fb, hits, member_hits: Vec::new(), scene })
             }

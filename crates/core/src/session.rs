@@ -26,7 +26,6 @@ use tioga2_relational::persist as rel_persist;
 use tioga2_relational::{Budget, CancelToken, Catalog};
 use tioga2_render::HitRecord;
 use tioga2_viewer::magnifier::Magnifier;
-use tioga2_viewer::navigator::PASS_THROUGH_ELEVATION;
 use tioga2_viewer::render_pass::Slider;
 use tioga2_viewer::slaving::ViewerSet;
 use tioga2_viewer::Viewer;
@@ -47,6 +46,11 @@ struct Travel {
     elevation: f64,
     entry_elevation: f64,
 }
+
+/// The elevation at (or below) which zooming over a wormhole passes
+/// through it (§6.2); zooming with no wormhole under the centre stops
+/// here.
+pub const PASS_THROUGH_ELEVATION: f64 = 1e-3;
 
 /// Default canvas window size in pixels.
 pub const DEFAULT_CANVAS_SIZE: (u32, u32) = (640, 480);
@@ -1814,7 +1818,7 @@ impl Session {
             .canvases
             .get_mut(canvas)
             .ok_or_else(|| CoreError::Session(format!("no canvas '{canvas}'")))?;
-        c.render_recorded(canvas, &content, &mut self.viewers, self.recorder.as_ref())
+        c.render(canvas, content, &mut self.viewers, self.recorder.as_ref())
     }
 
     /// The canvas content with the viewer's window (visible bounds +
@@ -2119,15 +2123,14 @@ impl Session {
         // previous canvas").
         let extent = rear.abs().max(last.elevation);
         let vp = tioga2_render::Viewport::new(last.center, extent, width, height);
-        let scene = tioga2_viewer::render_pass::compose_scene(
+        let (fb, _, scene) = tioga2_viewer::render_view(
             &composite,
+            &vp,
             rear,
             &[],
-            vp.world_bounds(),
             Default::default(),
+            self.recorder.as_ref(),
         )?;
-        let mut fb = tioga2_render::Framebuffer::new(width, height);
-        let _ = tioga2_render::render_scene(&scene, &vp, &mut fb);
         Ok(Some((fb, scene)))
     }
 

@@ -12,6 +12,7 @@ use crate::slaving::ViewerSet;
 use crate::viewer::Viewer;
 use tioga2_display::Group;
 use tioga2_expr::Color;
+use tioga2_obs::Recorder;
 use tioga2_render::{font, Framebuffer, HitIndex};
 
 /// Pixel gap between group members.
@@ -136,8 +137,9 @@ impl GroupWindow {
     }
 
     /// Render the whole group window.  Returns the framebuffer and one
-    /// hit index per member (hit coordinates are member-local).
-    pub fn render(&self) -> Result<(Framebuffer, Vec<HitIndex>), ViewError> {
+    /// hit index per member (hit coordinates are member-local).  Each
+    /// member is traced through `rec` as its own view.
+    pub fn render(&self, rec: &dyn Recorder) -> Result<(Framebuffer, Vec<HitIndex>), ViewError> {
         let mut fb = Framebuffer::new(self.size.0, self.size.1);
         if self.window.iconified {
             // An iconified window renders as a small title bar only.
@@ -148,7 +150,7 @@ impl GroupWindow {
         for (i, member) in self.group.members.iter().enumerate() {
             let v = self.viewers.get(&member_viewer_name(i))?;
             let (x, y, w, h) = self.member_rect(i);
-            let (sub, hit, _) = v.render(member)?;
+            let (sub, hit, _) = v.render(member, rec)?;
             fb.blit(&sub, x, y + CAPTION_H as i32);
             fb.draw_rect(
                 x - 1,
@@ -174,6 +176,7 @@ mod tests {
     use tioga2_display::defaults::make_display_relation;
     use tioga2_display::{Composite, Layout};
     use tioga2_expr::{parse, ScalarType as T, Value};
+    use tioga2_obs::noop_ref;
     use tioga2_relational::relation::RelationBuilder;
 
     fn member(color: &str) -> Composite {
@@ -202,7 +205,7 @@ mod tests {
     #[test]
     fn members_render_in_their_cells() {
         let w = window(Layout::Horizontal);
-        let (fb, hits) = w.render().unwrap();
+        let (fb, hits) = w.render(noop_ref()).unwrap();
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|h| h.len() == 5));
         assert!(fb.count_color(Color::RED) > 0);
@@ -262,13 +265,13 @@ mod tests {
         let mut w = window(Layout::Horizontal);
         w.iconify();
         assert!(w.window.iconified);
-        let (fb, hits) = w.render().unwrap();
+        let (fb, hits) = w.render(noop_ref()).unwrap();
         assert!(hits.is_empty(), "iconified group renders no members");
         assert!(fb.count_color(Color::RED) == 0);
         w.deiconify();
         w.move_window(40, 50);
         assert_eq!(w.window.origin, (40, 50));
-        let (_, hits) = w.render().unwrap();
+        let (_, hits) = w.render(noop_ref()).unwrap();
         assert_eq!(hits.len(), 2);
     }
 
@@ -291,7 +294,7 @@ mod tests {
             .with_labels(vec!["before 1990".into()])
             .unwrap();
         let w = GroupWindow::new(g, 200, 150).unwrap();
-        let (fb, _) = w.render().unwrap();
+        let (fb, _) = w.render(noop_ref()).unwrap();
         assert!(fb.count_color(Color::BLACK) > 20, "caption text pixels present");
     }
 }

@@ -10,11 +10,10 @@
 //! * [`render_pass`] — lowering a composite to a render `Scene` with
 //!   elevation-range culling, visible-region culling and slider
 //!   filtering (the invariance rule for layers lacking a dimension,
-//!   §6.1),
+//!   §6.1), and [`render_view`], the one traced compose + draw pass
+//!   every viewer kind renders through: canvases, magnifying glasses,
+//!   group members and rear view mirrors (§6.3),
 //! * [`Viewer`] — one canvas window with pan/zoom/slider state,
-//! * [`navigator`] — wormhole traversal and **rear view mirrors** (§6.2,
-//!   §6.3): canvases, pass-through at zero elevation, travel history,
-//!   underside rendering, "finding your way home",
 //! * [`slaving`] — §7.1: viewers constrained to move together,
 //! * [`magnifier`] — §7.2: viewers within viewers,
 //! * [`group`] — rendering stitched/replicated groups with per-member
@@ -26,7 +25,6 @@ pub mod error;
 pub mod group;
 pub mod index;
 pub mod magnifier;
-pub mod navigator;
 pub mod render_pass;
 pub mod slaving;
 pub mod viewer;
@@ -35,7 +33,6 @@ pub mod window;
 
 pub use error::ViewError;
 pub use index::{compose_scene_indexed, SpatialIndex};
-pub use navigator::{Navigator, TravelRecord};
-pub use render_pass::{compose_scene, data_bounds, CullOptions, Slider};
+pub use render_pass::{compose_scene, data_bounds, render_view, CullOptions, Slider};
 pub use viewer::{Viewer, ViewerPosition};
 pub use window::window_predicate;

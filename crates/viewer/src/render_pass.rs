@@ -12,6 +12,7 @@ use tioga2_display::Composite;
 use tioga2_obs::Recorder;
 use tioga2_render::hittest::Provenance;
 use tioga2_render::scene::{Scene, SceneItem};
+use tioga2_render::{render_scene, Framebuffer, HitIndex, Viewport};
 
 /// One slider: a named dimension and its visible range (inclusive).
 #[derive(Debug, Clone, PartialEq)]
@@ -124,25 +125,49 @@ pub fn compose_scene(
     Ok(scene)
 }
 
-/// [`compose_scene`] wrapped in a `render.compose` span recording layer
-/// and item counts; timing lands in the recorder's latency histogram.
-/// With a disabled recorder this is the plain lowering pass.
-pub fn compose_scene_recorded(
+/// Turn one view into pixels: compose `composite` as seen from
+/// `elevation` within `vp`'s visible world rectangle, then draw the scene
+/// through `vp` into a fresh framebuffer of the viewport's size.  Every
+/// viewer kind — canvas, magnifying glass, group member, rear view
+/// mirror — renders through here, so each one is traced the same way:
+/// a `render.compose` span (layer and item counts) and a `render.draw`
+/// span (items drawn vs. culled).  With a disabled recorder the spans
+/// are skipped entirely.
+///
+/// `elevation` is separate from `vp` because the rear view composes at a
+/// negative elevation through a positive-extent viewport.
+pub fn render_view(
     composite: &Composite,
+    vp: &Viewport,
     elevation: f64,
     sliders: &[Slider],
-    bounds: (f64, f64, f64, f64),
-    opts: CullOptions,
+    cull: CullOptions,
     rec: &dyn Recorder,
-) -> Result<Scene, ViewError> {
+) -> Result<(Framebuffer, HitIndex, Scene), ViewError> {
+    let bounds = vp.world_bounds();
     if !rec.is_enabled() {
-        return compose_scene(composite, elevation, sliders, bounds, opts);
+        let scene = compose_scene(composite, elevation, sliders, bounds, cull)?;
+        let mut fb = Framebuffer::new(vp.width_px, vp.height_px);
+        let hits = render_scene(&scene, vp, &mut fb);
+        return Ok((fb, hits, scene));
     }
     let span = rec.span_begin("render.compose", "");
-    let result = compose_scene(composite, elevation, sliders, bounds, opts);
+    let result = compose_scene(composite, elevation, sliders, bounds, cull);
     let items = result.as_ref().map_or(-1, |s| s.len() as i64);
     rec.span_end(span, &[("layers", composite.layers.len() as i64), ("items", items)]);
-    result
+    let scene = result?;
+    let mut fb = Framebuffer::new(vp.width_px, vp.height_px);
+    let span = rec.span_begin("render.draw", "");
+    let hits = render_scene(&scene, vp, &mut fb);
+    rec.span_end(
+        span,
+        &[
+            ("items", scene.len() as i64),
+            ("drawn", hits.len() as i64),
+            ("culled", (scene.len() - hits.len()) as i64),
+        ],
+    );
+    Ok((fb, hits, scene))
 }
 
 /// World-space bounding rectangle of the composite's tuples in the two

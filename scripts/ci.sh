@@ -6,6 +6,12 @@
 #   cargo test -q (threads 1 and 4) — root-package tests (tier-1
 #       contract), exercised serial and with the partition-parallel
 #       executor enabled so both code paths stay equivalent
+#   cargo test -q --workspace       — every crate's unit and integration
+#       tests (session, render-path differential, obs audit, server,
+#       viewer, ...), which the root-package legs above do not reach
+#   gesture_bench tests             — the benchmark package builds against
+#       the workspace's public APIs; its unit tests prove it still
+#       compiles and reads them correctly after an API change
 #   cargo clippy -D warnings        — workspace-wide lint, warnings are
 #       errors
 #   cargo bench obs_overhead        — observability + governance budgets:
@@ -67,6 +73,8 @@ cargo fmt --all -- --check
 cargo build --release
 TIOGA2_THREADS=1 cargo test -q
 TIOGA2_THREADS=4 cargo test -q
+cargo test -q --workspace
+cargo test -q --release --manifest-path gesture_bench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 cargo bench -p tioga2-bench --bench obs_overhead
 cargo test -q --test chaos
@@ -181,4 +189,4 @@ for key in a5_plan_pushdown a6_parallel_scaling_t1 a6_parallel_scaling_t2 \
         || { echo "ci: BENCH_figures.json is missing '$key'" >&2; exit 1; }
 done
 
-echo "ci: fmt + build + tests (1 and 4 workers) + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"
+echo "ci: fmt + build + tests (1 and 4 workers) + workspace tests + gesture_bench tests + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"
